@@ -1,7 +1,7 @@
 GO ?= go
 
 .PHONY: all build test race vet bench bench-smoke bench-gate lint check \
-	check-nolint examples-smoke fuzz-smoke cover loadtest-smoke
+	check-nolint examples-smoke fuzz-smoke cover loadtest-smoke perfbench-build
 
 all: check
 
@@ -31,6 +31,13 @@ loadtest-smoke:
 
 vet:
 	$(GO) vet ./...
+
+# The benchmark under perfbench/ is its own module, so `go build ./...` and
+# `go test ./...` at the root never compile it; vet and build it here so an
+# API change it depends on fails the check run. The built binary is
+# discarded (-o /dev/null) so nothing lands in the benchmark's directory.
+perfbench-build:
+	$(GO) -C perfbench vet ./... && $(GO) -C perfbench build -o /dev/null ./...
 
 # One pass over every benchmark; use -benchtime/-count via BENCHFLAGS.
 BENCHFLAGS ?= -benchtime 1x
@@ -104,8 +111,8 @@ cover:
 	awk -v a="$$actual" -v f="$$floor" 'BEGIN { exit !(a+0 >= f+0) }' || \
 		{ echo "coverage $$actual% is below the $$floor% floor in COVERAGE.txt"; exit 1; }
 
-check: build vet test race loadtest-smoke bench-smoke lint examples-smoke cover fuzz-smoke
+check: build vet perfbench-build test race loadtest-smoke bench-smoke lint examples-smoke cover fuzz-smoke
 
 # Everything in check except lint — CI runs lint as its own job (with its own
 # cache key) so analyzer findings surface as annotations, not a buried log.
-check-nolint: build vet test race loadtest-smoke bench-smoke examples-smoke cover fuzz-smoke
+check-nolint: build vet perfbench-build test race loadtest-smoke bench-smoke examples-smoke cover fuzz-smoke

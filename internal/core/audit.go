@@ -303,11 +303,6 @@ func Audit(p *partition.Partitioning, cfg Config) (*Result, error) {
 type auditHooks struct {
 	keepAll   bool
 	nullCache *stats.PairNullCache
-	// shard/shards, when shards > 1, restrict the sweep's outer-row slots
-	// to slice shard of shards equal slices (see shard.go). Every other
-	// phase — partitioning, indexing, precompute, prewarm — is unchanged,
-	// so a shard's per-pair results are bit-identical to the batch run's.
-	shard, shards int
 }
 
 // cancelCheckInterval bounds how many pairs a worker processes between
@@ -327,7 +322,8 @@ const cancelCheckInterval = 256
 // regions can take seconds, and callers such as the HTTP service need to
 // abandon it when the client goes away. Cancellation is checked every
 // cancelCheckInterval pairs within each worker; on cancellation the
-// context's error is returned and the partial result discarded.
+// context's cause (context.Cause) is returned and the partial result
+// discarded.
 func AuditContext(ctx context.Context, p *partition.Partitioning, cfg Config) (*Result, error) {
 	res, run, _, err := auditEngine(ctx, p, cfg, auditHooks{})
 	recycleRunner(run)
@@ -372,12 +368,16 @@ func auditEngine(ctx context.Context, p *partition.Partitioning, cfg Config, hoo
 		"fdr":              cfg.FDR > 0,
 	})
 
-	canceled := func(err error) (*Result, *auditRunner, []UnfairPair, error) {
+	// canceled reports the context's cause, not just ctx.Err(): a caller
+	// that canceled with a reason (a job's DELETE, a manager shutdown) gets
+	// that reason back, and a plain cancel or deadline still yields
+	// context.Canceled or context.DeadlineExceeded.
+	canceled := func() (*Result, *auditRunner, []UnfairPair, error) {
 		col.Inc(obs.MAuditCanceled)
 		col.Event("audit.canceled", "", "audit canceled", map[string]any{
 			"after_seconds": now().Sub(start).Seconds(),
 		})
-		return nil, nil, nil, err
+		return nil, nil, nil, context.Cause(ctx)
 	}
 
 	regions := make([]*partition.Region, len(eligible))
@@ -436,8 +436,8 @@ func auditEngine(ctx context.Context, p *partition.Partitioning, cfg Config, hoo
 			}()
 		}
 		pg.Wait()
-		if err := ctx.Err(); err != nil {
-			return canceled(err)
+		if ctx.Err() != nil {
+			return canceled()
 		}
 		hint := run.pairHint()
 		run.sim.finishPrepare(hint)
@@ -467,8 +467,8 @@ func auditEngine(ctx context.Context, p *partition.Partitioning, cfg Config, hoo
 	run.prewarmNullCache(ctx, workers, col, now)
 	run.frozen = run.nullCache.Freeze()
 	col.ObserveSeconds(obs.MAuditPhasePrewarmSeconds, now().Sub(prewarmStart))
-	if err := ctx.Err(); err != nil {
-		return canceled(err)
+	if ctx.Err() != nil {
+		return canceled()
 	}
 
 	// Phase 2: the pair sweep. Workers claim outer-loop probe rows through
@@ -489,14 +489,7 @@ func auditEngine(ctx context.Context, p *partition.Partitioning, cfg Config, hoo
 	}
 	shards := make([]shard, workers)
 	run.pairBufs = growSlice(run.pairBufs, workers)
-	// Under a shard hook the scheduler deals only the shard's slice of the
-	// outer-row slots; slotLo re-bases its claims into the full slot space.
-	slotLo, slotHi := 0, len(run.regions)
-	if hooks.shards > 1 {
-		slotLo = hooks.shard * len(run.regions) / hooks.shards
-		slotHi = (hooks.shard + 1) * len(run.regions) / hooks.shards
-	}
-	sched := newRowScheduler(slotHi-slotLo, workers)
+	sched := newRowScheduler(len(run.regions), workers)
 	steals := obs.NewShardedCounter(workers)
 	keepScores := run.fdr || hooks.keepAll
 	var wg sync.WaitGroup
@@ -571,10 +564,9 @@ func auditEngine(ctx context.Context, p *partition.Partitioning, cfg Config, hoo
 					steals.Add(w, 1)
 				}
 				for r := lo; r < hi; r++ {
-					slot := slotLo + r
-					ii := slot
+					ii := r
 					if keyOrder {
-						ii = int(run.plan.pos[slot])
+						ii = int(run.plan.pos[r])
 					}
 					probe = ii
 					if !run.plan.forEachPartner(ii, len(run.regions), visit) {
@@ -592,8 +584,8 @@ func auditEngine(ctx context.Context, p *partition.Partitioning, cfg Config, hoo
 	wg.Wait()
 	steals.FlushTo(col, obs.MAuditSweepSteals)
 	col.ObserveSeconds(obs.MAuditPhaseSweepSeconds, now().Sub(sweepStart))
-	if err := ctx.Err(); err != nil {
-		return canceled(err)
+	if ctx.Err() != nil {
+		return canceled()
 	}
 	fdr := run.fdr
 

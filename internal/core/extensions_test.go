@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"errors"
 	"math"
 	"testing"
 
@@ -161,6 +162,13 @@ func TestAuditContextCancellation(t *testing.T) {
 	cancel()
 	if _, err := AuditContext(ctx, p, DefaultConfig()); err == nil {
 		t.Error("cancelled context should abort the audit")
+	}
+	// A cancel with a cause reports the cause, not a bare context.Canceled.
+	why := errors.New("caller gave up")
+	cctx, ccancel := context.WithCancelCause(context.Background())
+	ccancel(why)
+	if _, err := AuditContext(cctx, p, DefaultConfig()); !errors.Is(err, why) {
+		t.Errorf("cancel with cause returned %v, want %v", err, why)
 	}
 	// A live context behaves exactly like Audit.
 	res, err := AuditContext(context.Background(), p, DefaultConfig())

@@ -1,13 +1,12 @@
 // Package jobs turns the LC-SF audit into an asynchronous, supervised job
 // service: callers submit a parsed LAR plus audit parameters and get a job
-// ID back immediately, then poll status (with live progress from the audit
-// engine's own obs counters) and fetch the finished JSON or GeoJSON report.
-// A coordinator shards each job's candidate-pair space across a bounded
-// worker pool behind the Runner interface — in-process today, a process or
-// node boundary tomorrow — and reassembles the exact batch result with
-// core.MergeShards, so the job layer adds robustness (bounded queue with
-// backpressure, per-job timeouts, panic isolation, retry with exponential
-// backoff, graceful drain) without costing a single bit of determinism.
+// ID back immediately, then poll status (with the audit engine's funnel
+// counters as progress) and fetch the finished JSON or GeoJSON report.
+// Each job runs as one core.AuditContext call on a dispatcher goroutine,
+// with max(1, Workers/MaxActiveJobs) engine workers, so its report is
+// byte-identical to the synchronous audit of the same request. Around that
+// call the job layer adds a bounded queue with backpressure, per-job
+// timeouts, cancellation, panic isolation, and a graceful drain.
 package jobs
 
 import (
@@ -24,7 +23,7 @@ import (
 // State is a job's lifecycle position. Transitions form a DAG:
 //
 //	queued -> running -> done
-//	       \          -> failed   (error, timeout, retries exhausted)
+//	       \          -> failed   (error, timeout, panic)
 //	        \         -> canceled (DELETE, or forced shutdown)
 //	         -> canceled          (DELETE while still queued)
 //
@@ -54,18 +53,18 @@ type Request struct {
 	Tenant string
 	Obs    []partition.Observation
 	Grid   geo.Grid
-	Audit  core.Config
+	// Audit is the audit configuration; the manager overrides its Workers
+	// with the job's share of Config.Workers.
+	Audit core.Config
 	// GeoJSON selects the flagged-regions GeoJSON report instead of the
 	// full JSON document.
 	GeoJSON bool
 }
 
-// Progress is a running job's position, derived from the job's private obs
-// collector (the audit engine publishes its funnel counters there after
-// each shard) plus the coordinator's shard bookkeeping.
+// Progress is the job's audit funnel, read from the job's private obs
+// collector; the audit engine publishes its counters there when the audit
+// finishes.
 type Progress struct {
-	ShardsDone   int   `json:"shards_done"`
-	ShardsTotal  int   `json:"shards_total"`
 	PairsScanned int64 `json:"pairs_scanned"`
 	Candidates   int64 `json:"candidates"`
 	Flagged      int64 `json:"flagged"`
@@ -81,8 +80,7 @@ type Snapshot struct {
 	SubmittedAt time.Time `json:"submitted_at"`
 	StartedAt   time.Time `json:"started_at,omitempty"`
 	FinishedAt  time.Time `json:"finished_at,omitempty"`
-	// Attempts counts executions started, 1 on the first run; >1 means
-	// transient failures were retried.
+	// Attempts is 1 once the job has started running, 0 before.
 	Attempts int      `json:"attempts,omitempty"`
 	Error    string   `json:"error,omitempty"`
 	Progress Progress `json:"progress"`
@@ -99,37 +97,12 @@ var (
 	ErrDraining = errors.New("jobs: manager draining")
 )
 
-// transientErr marks an error as worth retrying.
-type transientErr struct{ err error }
-
-func (e transientErr) Error() string   { return e.err.Error() }
-func (e transientErr) Unwrap() error   { return e.err }
-func (e transientErr) Transient() bool { return true }
-
-// MarkTransient wraps err so IsTransient reports true; the manager retries
-// shard attempts that fail transiently (with exponential backoff) up to
-// Config.MaxRetries before declaring the job failed. nil stays nil.
-func MarkTransient(err error) error {
-	if err == nil {
-		return nil
-	}
-	return transientErr{err: err}
-}
-
-// IsTransient reports whether err (or anything it wraps) is marked
-// transient.
-func IsTransient(err error) bool {
-	var t interface{ Transient() bool }
-	return errors.As(err, &t) && t.Transient()
-}
-
 // job is the manager's internal record. Mutable fields are guarded by mu;
 // the identity fields and the per-job collector are set once at submit.
 type job struct {
 	id      string
 	tenant  string
 	geojson bool
-	shards  int
 	col     *obs.Collector
 
 	mu        sync.Mutex
@@ -141,9 +114,7 @@ type job struct {
 	started   time.Time
 	finished  time.Time
 	cancel    func(error) // non-nil while running
-	cancelReq bool
 	terminal  bool
-	shardDone int
 	result    []byte
 	ctype     string
 }

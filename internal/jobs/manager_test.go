@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"context"
 	"errors"
-	"fmt"
 	"strings"
 	"sync"
 	"testing"
@@ -74,7 +73,7 @@ func TestJobLifecycle(t *testing.T) {
 		now = now.Add(time.Millisecond)
 		return now
 	}
-	m := NewManager(Config{Workers: 4, ShardsPerJob: 3, Clock: clock})
+	m := NewManager(Config{Workers: 4, Clock: clock})
 	defer shutdownClean(t, m)
 
 	req := testRequest(t)
@@ -96,12 +95,6 @@ func TestJobLifecycle(t *testing.T) {
 	if final.Attempts != 1 {
 		t.Errorf("attempts = %d, want 1", final.Attempts)
 	}
-	if final.Progress.ShardsDone != 3 || final.Progress.ShardsTotal != 3 {
-		t.Errorf("progress = %+v", final.Progress)
-	}
-	if final.Progress.PairsScanned == 0 {
-		t.Error("no pairs scanned recorded")
-	}
 	if final.FinishedAt.Before(final.StartedAt) || final.StartedAt.Before(final.SubmittedAt) {
 		t.Errorf("timestamps out of order: %+v", final)
 	}
@@ -114,14 +107,22 @@ func TestJobLifecycle(t *testing.T) {
 		t.Fatalf("Result: ok=%v ctype=%q len=%d", ok, ctype, len(data))
 	}
 
-	// The async sharded result must be byte-identical to the synchronous
-	// single-process audit of the same request.
+	// The async result must be byte-identical to the synchronous audit of
+	// the same request, and its progress must report the same pair count
+	// (the figure the tenancy layer charges budgets with).
 	req2 := testRequest(t)
 	req2.Audit.Workers = 1
+	syncCol := obs.NewCollector(16)
+	req2.Audit.Collector = syncCol
 	part := partition.ByGrid(req2.Grid, req2.Obs, partition.Options{Seed: req2.Audit.Seed})
 	res, err := core.AuditContext(context.Background(), part, req2.Audit)
 	if err != nil {
 		t.Fatal(err)
+	}
+	syncPairs := syncCol.Snapshot().Counters[obs.MAuditPairsScanned]
+	if syncPairs == 0 || final.Progress.PairsScanned != syncPairs {
+		t.Errorf("progress pairs scanned = %d, sync audit scanned %d",
+			final.Progress.PairsScanned, syncPairs)
 	}
 	var want bytes.Buffer
 	if err := report.Build(part, req2.Grid, res).WriteJSON(&want); err != nil {
@@ -140,7 +141,7 @@ func TestJobLifecycle(t *testing.T) {
 }
 
 func TestJobGeoJSONFormat(t *testing.T) {
-	m := NewManager(Config{Workers: 2, ShardsPerJob: 2})
+	m := NewManager(Config{Workers: 2})
 	defer shutdownClean(t, m)
 	req := testRequest(t)
 	req.GeoJSON = true
@@ -169,36 +170,37 @@ func TestSubmitValidation(t *testing.T) {
 	}
 }
 
-// gateRunner blocks every shard until released, then delegates to the real
-// engine. It honors context cancellation while gated.
-type gateRunner struct {
-	started chan struct{} // one receive per shard that reached the gate
-	release chan struct{} // close to let all shards proceed
+// gate is a test audit that blocks every job until released or until its
+// context ends, then runs the real engine. A job canceled at the gate thus
+// reaches the engine with a dead context, so the error the job reports is
+// the one the engine returns.
+type gate struct {
+	started chan struct{} // one receive per audit that reached the gate
+	release chan struct{} // close to let every audit proceed
 }
 
-func newGateRunner() *gateRunner {
-	return &gateRunner{started: make(chan struct{}, 64), release: make(chan struct{})}
+func newGate() *gate {
+	return &gate{started: make(chan struct{}, 64), release: make(chan struct{})}
 }
 
-func (g *gateRunner) RunShard(ctx context.Context, spec ShardSpec) (*core.ShardResult, error) {
+func (g *gate) audit(ctx context.Context, p *partition.Partitioning, cfg core.Config) (*core.Result, error) {
 	g.started <- struct{}{}
 	select {
 	case <-g.release:
 	case <-ctx.Done():
-		return nil, context.Cause(ctx)
 	}
-	return InProcess{}.RunShard(ctx, spec)
+	return core.AuditContext(ctx, p, cfg)
 }
 
 func TestQueueFullBackpressure(t *testing.T) {
-	gate := newGateRunner()
+	gate := newGate()
 	m := NewManager(Config{
-		Workers: 1, MaxActiveJobs: 1, QueueDepth: 1, ShardsPerJob: 1,
-		Runner: gate,
+		Workers: 1, MaxActiveJobs: 1, QueueDepth: 1,
+		audit: gate.audit,
 	})
 	defer shutdownClean(t, m)
 
-	a, err := m.Submit(testRequest(t)) // dequeued by the coordinator, blocked at the gate
+	a, err := m.Submit(testRequest(t)) // dequeued by the dispatcher, blocked at the gate
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -224,10 +226,10 @@ func TestQueueFullBackpressure(t *testing.T) {
 }
 
 func TestCancelQueuedJob(t *testing.T) {
-	gate := newGateRunner()
+	gate := newGate()
 	m := NewManager(Config{
-		Workers: 1, MaxActiveJobs: 1, QueueDepth: 4, ShardsPerJob: 1,
-		Runner: gate,
+		Workers: 1, MaxActiveJobs: 1, QueueDepth: 4,
+		audit: gate.audit,
 	})
 	a, err := m.Submit(testRequest(t))
 	if err != nil {
@@ -254,20 +256,23 @@ func TestCancelQueuedJob(t *testing.T) {
 }
 
 func TestCancelRunningJob(t *testing.T) {
-	gate := newGateRunner()
-	m := NewManager(Config{Workers: 1, ShardsPerJob: 1, Runner: gate})
+	gate := newGate()
+	m := NewManager(Config{Workers: 1, audit: gate.audit})
 	defer shutdownClean(t, m)
 	a, err := m.Submit(testRequest(t))
 	if err != nil {
 		t.Fatal(err)
 	}
-	<-gate.started // the shard is gated: the job is running
+	<-gate.started // the audit is gated: the job is running
 	if _, ok := m.Cancel(a.ID); !ok {
 		t.Fatal("cancel running returned !ok")
 	}
 	final := waitTerminal(t, m, a.ID)
 	if final.State != StateCanceled {
 		t.Errorf("state = %s, want canceled", final.State)
+	}
+	if final.Error != errCancelRequested.Error() {
+		t.Errorf("error = %q, want %q", final.Error, errCancelRequested)
 	}
 	if _, _, ok := m.Result(a.ID); ok {
 		t.Error("canceled job has a result")
@@ -282,23 +287,21 @@ func TestCancelUnknownJob(t *testing.T) {
 	}
 }
 
-// panicRunner panics on the first shard it sees, then delegates.
-type panicRunner struct {
-	once sync.Once
-	hit  bool
-}
+// panicOnce is a test audit that panics on its first call and runs the real
+// engine after that.
+type panicOnce struct{ once sync.Once }
 
-func (p *panicRunner) RunShard(ctx context.Context, spec ShardSpec) (*core.ShardResult, error) {
-	var boom bool
-	p.once.Do(func() { boom = true; p.hit = true })
+func (p *panicOnce) audit(ctx context.Context, part *partition.Partitioning, cfg core.Config) (*core.Result, error) {
+	boom := false
+	p.once.Do(func() { boom = true })
 	if boom {
-		panic("poisoned shard")
+		panic("poisoned audit")
 	}
-	return InProcess{}.RunShard(ctx, spec)
+	return core.AuditContext(ctx, part, cfg)
 }
 
-func TestShardPanicFailsJobNotPool(t *testing.T) {
-	m := NewManager(Config{Workers: 2, ShardsPerJob: 2, Runner: &panicRunner{}})
+func TestAuditPanicFailsJobNotDispatcher(t *testing.T) {
+	m := NewManager(Config{Workers: 1, MaxActiveJobs: 1, audit: (&panicOnce{}).audit})
 	defer shutdownClean(t, m)
 
 	a, err := m.Submit(testRequest(t))
@@ -306,11 +309,12 @@ func TestShardPanicFailsJobNotPool(t *testing.T) {
 		t.Fatal(err)
 	}
 	final := waitTerminal(t, m, a.ID)
-	if final.State != StateFailed || !strings.Contains(final.Error, "panicked") {
+	if final.State != StateFailed || !strings.Contains(final.Error, "poisoned audit") {
 		t.Fatalf("state = %s error = %q", final.State, final.Error)
 	}
 
-	// The pool worker that hosted the panic must survive to run new jobs.
+	// The single dispatcher that hosted the panic must survive to run the
+	// next job.
 	b, err := m.Submit(testRequest(t))
 	if err != nil {
 		t.Fatal(err)
@@ -324,101 +328,12 @@ func TestShardPanicFailsJobNotPool(t *testing.T) {
 	}
 }
 
-// flakyRunner fails the first failures shard executions with a transient
-// error, then delegates.
-type flakyRunner struct {
-	mu       sync.Mutex
-	failures int
-}
-
-func (f *flakyRunner) RunShard(ctx context.Context, spec ShardSpec) (*core.ShardResult, error) {
-	f.mu.Lock()
-	fail := f.failures > 0
-	if fail {
-		f.failures--
-	}
-	f.mu.Unlock()
-	if fail {
-		return nil, MarkTransient(fmt.Errorf("shard %d: simulated transient fault", spec.Shard))
-	}
-	return InProcess{}.RunShard(ctx, spec)
-}
-
-func TestTransientRetryWithBackoff(t *testing.T) {
-	var sleepMu sync.Mutex
-	var slept []time.Duration
-	m := NewManager(Config{
-		Workers: 2, ShardsPerJob: 2,
-		Runner:         &flakyRunner{failures: 2},
-		MaxRetries:     3,
-		RetryBaseDelay: 40 * time.Millisecond,
-		Sleep: func(ctx context.Context, d time.Duration) error {
-			sleepMu.Lock()
-			slept = append(slept, d)
-			sleepMu.Unlock()
-			return nil
-		},
-	})
-	defer shutdownClean(t, m)
-
-	a, err := m.Submit(testRequest(t))
-	if err != nil {
-		t.Fatal(err)
-	}
-	final := waitTerminal(t, m, a.ID)
-	if final.State != StateDone {
-		t.Fatalf("state = %s (%s)", final.State, final.Error)
-	}
-	// Two transient shard failures can burn at most two attempts (the first
-	// failure cancels its sibling, the retry re-runs both shards and one
-	// fails again); the exponential schedule must hold regardless.
-	sleepMu.Lock()
-	defer sleepMu.Unlock()
-	if len(slept) == 0 || len(slept) > 3 {
-		t.Fatalf("backoff sleeps = %v", slept)
-	}
-	for i, d := range slept {
-		want := 40 * time.Millisecond << i
-		if d != want {
-			t.Errorf("backoff %d = %v, want %v", i, d, want)
-		}
-	}
-	if final.Attempts != len(slept)+1 {
-		t.Errorf("attempts = %d with %d backoffs", final.Attempts, len(slept))
-	}
-	counters := m.Collector().Snapshot().Counters
-	if counters[obs.MJobsRetried] != int64(len(slept)) {
-		t.Errorf("jobs.retried = %d, want %d", counters[obs.MJobsRetried], len(slept))
-	}
-}
-
-func TestRetriesExhaustedFailsJob(t *testing.T) {
-	m := NewManager(Config{
-		Workers: 1, ShardsPerJob: 1,
-		Runner:     &flakyRunner{failures: 100},
-		MaxRetries: 2,
-		Sleep:      func(ctx context.Context, d time.Duration) error { return nil },
-	})
-	defer shutdownClean(t, m)
-	a, err := m.Submit(testRequest(t))
-	if err != nil {
-		t.Fatal(err)
-	}
-	final := waitTerminal(t, m, a.ID)
-	if final.State != StateFailed || !strings.Contains(final.Error, "transient") {
-		t.Fatalf("state = %s error = %q", final.State, final.Error)
-	}
-	if final.Attempts != 3 { // 1 + MaxRetries
-		t.Errorf("attempts = %d, want 3", final.Attempts)
-	}
-}
-
 func TestJobTimeout(t *testing.T) {
-	gate := newGateRunner() // never released: the job hangs until the timeout
+	gate := newGate() // never released: the job hangs until the timeout
 	m := NewManager(Config{
-		Workers: 1, ShardsPerJob: 1,
-		Runner:     gate,
+		Workers:    1,
 		JobTimeout: 50 * time.Millisecond,
+		audit:      gate.audit,
 	})
 	defer shutdownClean(t, m)
 	a, err := m.Submit(testRequest(t))
@@ -435,7 +350,7 @@ func TestJobTimeout(t *testing.T) {
 }
 
 func TestGracefulDrain(t *testing.T) {
-	m := NewManager(Config{Workers: 4, MaxActiveJobs: 2, ShardsPerJob: 2})
+	m := NewManager(Config{Workers: 4, MaxActiveJobs: 2})
 	ids := make([]string, 0, 4)
 	for i := 0; i < 4; i++ {
 		snap, err := m.Submit(testRequest(t))
@@ -464,8 +379,8 @@ func TestGracefulDrain(t *testing.T) {
 }
 
 func TestForcedShutdownCancelsRunning(t *testing.T) {
-	gate := newGateRunner() // never released
-	m := NewManager(Config{Workers: 1, ShardsPerJob: 1, Runner: gate})
+	gate := newGate() // never released
+	m := NewManager(Config{Workers: 1, audit: gate.audit})
 	a, err := m.Submit(testRequest(t))
 	if err != nil {
 		t.Fatal(err)
@@ -480,10 +395,13 @@ func TestForcedShutdownCancelsRunning(t *testing.T) {
 	if !ok || snap.State != StateCanceled {
 		t.Errorf("job after forced shutdown: ok=%v state=%s", ok, snap.State)
 	}
+	if snap.Error != errShutdown.Error() {
+		t.Errorf("error = %q, want %q", snap.Error, errShutdown)
+	}
 }
 
 func TestListAndRetention(t *testing.T) {
-	m := NewManager(Config{Workers: 2, ShardsPerJob: 1, RetentionLimit: 2})
+	m := NewManager(Config{Workers: 2, RetentionLimit: 2})
 	defer shutdownClean(t, m)
 	var last string
 	for i := 0; i < 4; i++ {
@@ -509,30 +427,33 @@ func TestListAndRetention(t *testing.T) {
 }
 
 func TestTerminalHookFires(t *testing.T) {
-	var mu sync.Mutex
-	var seen []Snapshot
+	// The hook runs after the job's terminal state is published, so the
+	// test waits on the hook itself, not on the job's state.
+	seen := make(chan Snapshot, 4)
 	m := NewManager(Config{
-		Workers: 2, ShardsPerJob: 2,
-		OnTerminal: func(s Snapshot) {
-			mu.Lock()
-			seen = append(seen, s)
-			mu.Unlock()
-		},
+		Workers:    2,
+		OnTerminal: func(s Snapshot) { seen <- s },
 	})
-	defer shutdownClean(t, m)
 	req := testRequest(t)
 	req.Tenant = "acme"
 	snap, err := m.Submit(req)
 	if err != nil {
 		t.Fatal(err)
 	}
-	waitTerminal(t, m, snap.ID)
-	mu.Lock()
-	defer mu.Unlock()
-	if len(seen) != 1 || seen[0].ID != snap.ID || seen[0].Tenant != "acme" {
-		t.Fatalf("hook calls = %+v", seen)
+	var got Snapshot
+	select {
+	case got = <-seen:
+	case <-time.After(30 * time.Second):
+		t.Fatal("terminal hook never fired")
 	}
-	if seen[0].Progress.PairsScanned == 0 {
+	if got.ID != snap.ID || got.Tenant != "acme" || got.State != StateDone {
+		t.Fatalf("hook snapshot = %+v", got)
+	}
+	if got.Progress.PairsScanned == 0 {
 		t.Error("hook snapshot missing compute usage")
+	}
+	shutdownClean(t, m)
+	if extra := len(seen); extra != 0 {
+		t.Errorf("hook fired %d more times", extra)
 	}
 }

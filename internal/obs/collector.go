@@ -123,16 +123,13 @@ const (
 	// with backpressure (429 + Retry-After). Every accepted job reaches
 	// exactly one of completed / failed / canceled, so at any quiet point
 	// submitted == completed + failed + canceled and the books balance.
-	// retried counts re-executions after transient shard failures (a job
-	// retried twice contributes 2).
 	MJobsSubmitted = "jobs.submitted"
 	MJobsCompleted = "jobs.completed"
 	MJobsFailed    = "jobs.failed"
 	MJobsCanceled  = "jobs.canceled"
-	MJobsRetried   = "jobs.retried"
 	MJobsRejected  = "jobs.rejected"
 	// Gauges: jobs waiting in the bounded queue, and jobs currently
-	// executing on the shard pool.
+	// running their audit.
 	MJobsQueueDepth = "jobs.queue_depth"
 	MJobsRunning    = "jobs.running"
 	// Histograms: queued-to-terminal wall time per job, and the same

@@ -103,7 +103,7 @@ func pollDone(t *testing.T, srv http.Handler, id string, hdr map[string]string) 
 }
 
 func TestJobRoutesEndToEnd(t *testing.T) {
-	srv, _, _ := newJobsServer(t, jobs.Config{Workers: 4, ShardsPerJob: 3}, nil)
+	srv, _, _ := newJobsServer(t, jobs.Config{Workers: 4}, nil)
 	body := larBody(t, 6000, 0.2).Bytes()
 
 	snap := submitJob(t, srv, "/jobs?cols=12&rows=8&seed=7", body, nil)
@@ -143,7 +143,7 @@ func TestJobRoutesEndToEnd(t *testing.T) {
 }
 
 func TestJobGeoJSONRoute(t *testing.T) {
-	srv, _, _ := newJobsServer(t, jobs.Config{Workers: 2, ShardsPerJob: 2}, nil)
+	srv, _, _ := newJobsServer(t, jobs.Config{Workers: 2}, nil)
 	body := larBody(t, 6000, 0.2).Bytes()
 	snap := submitJob(t, srv, "/jobs?cols=12&rows=8&seed=7&format=geojson", body, nil)
 	if snap.Format != "geojson" {
@@ -159,9 +159,9 @@ func TestJobGeoJSONRoute(t *testing.T) {
 }
 
 func TestJobCancelRoute(t *testing.T) {
-	// A single slow coordinator keeps the second job queued long enough to
+	// A single slow dispatcher keeps the second job queued long enough to
 	// cancel it deterministically.
-	srv, _, _ := newJobsServer(t, jobs.Config{Workers: 1, MaxActiveJobs: 1, ShardsPerJob: 1}, nil)
+	srv, _, _ := newJobsServer(t, jobs.Config{Workers: 1, MaxActiveJobs: 1}, nil)
 	body := larBody(t, 6000, 0.2).Bytes()
 	a := submitJob(t, srv, "/jobs?cols=12&rows=8", body, nil)
 	b := submitJob(t, srv, "/jobs?cols=12&rows=8", body, nil)
@@ -194,6 +194,7 @@ func TestJobBadInputs(t *testing.T) {
 		{"bad format", "/jobs?format=xml", validHeaderOnly(), http.StatusBadRequest},
 		{"bad cols", "/jobs?cols=zero", validHeaderOnly(), http.StatusBadRequest},
 		{"nan epsilon", "/jobs?epsilon=NaN", validHeaderOnly(), http.StatusBadRequest},
+		{"overflowing grid", "/jobs?cols=4294967296&rows=4294967296", validHeaderOnly(), http.StatusBadRequest},
 	}
 	for _, c := range cases {
 		rec := do(srv, "POST", c.url, bytes.NewReader([]byte(c.body)), nil)
@@ -282,7 +283,7 @@ func TestTenancyAuthAndIsolation(t *testing.T) {
 	reg := tenant.NewRegistry(tenant.Limits{}, nil)
 	reg.AddKey("k-acme", "acme")
 	reg.AddKey("k-globex", "globex")
-	srv, _, col := newJobsServer(t, jobs.Config{Workers: 2, ShardsPerJob: 1}, func(c *Config) {
+	srv, _, col := newJobsServer(t, jobs.Config{Workers: 2}, func(c *Config) {
 		c.Tenants = reg
 	})
 	body := larBody(t, 6000, 0.2).Bytes()
@@ -371,11 +372,11 @@ func TestTenancyJobLimitAndBudgetHTTP(t *testing.T) {
 	reg.SetLimits("acme", tenant.Limits{MaxActiveJobs: 1})
 	var srv http.Handler
 	var col *obs.Collector
-	srv, _, col = newJobsServer(t, jobs.Config{Workers: 1, MaxActiveJobs: 1, ShardsPerJob: 1}, func(c *Config) {
+	srv, _, col = newJobsServer(t, jobs.Config{Workers: 1, MaxActiveJobs: 1}, func(c *Config) {
 		c.Tenants = reg
 		c.Jobs = nil // rebuild below with the terminal hook
 		jcfg := jobs.Config{
-			Workers: 1, MaxActiveJobs: 1, ShardsPerJob: 1, Collector: c.Collector,
+			Workers: 1, MaxActiveJobs: 1, Collector: c.Collector,
 			OnTerminal: func(s jobs.Snapshot) {
 				reg.FinishJob(s.Tenant, float64(s.Progress.PairsScanned))
 			},
@@ -423,7 +424,7 @@ func TestAuditLogOverHTTP(t *testing.T) {
 	alog := tenant.NewLog(&buf)
 	reg := tenant.NewRegistry(tenant.Limits{}, nil)
 	reg.AddKey("k-acme", "acme")
-	srv, _, _ := newJobsServer(t, jobs.Config{Workers: 1, ShardsPerJob: 1}, func(c *Config) {
+	srv, _, _ := newJobsServer(t, jobs.Config{Workers: 1}, func(c *Config) {
 		c.Tenants = reg
 		c.AuditLog = alog
 	})

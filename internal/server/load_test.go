@@ -58,7 +58,7 @@ func TestJobServiceLoad(t *testing.T) {
 	acfg.MCWorlds = 49
 	acfg.MinRegionSize = 30
 	mgr := jobs.NewManager(jobs.Config{
-		Workers: 8, MaxActiveJobs: 4, QueueDepth: 32, ShardsPerJob: 3,
+		Workers: 8, MaxActiveJobs: 4, QueueDepth: 32,
 		RetentionLimit: 2 * clients,
 		Collector:      col,
 	})
@@ -210,8 +210,8 @@ func TestJobServiceLoad(t *testing.T) {
 	}
 
 	// Determinism: same data, same seed, same parameters -> byte-identical
-	// reports, across every one of the thousand jobs regardless of shard
-	// interleaving, worker contention, or queue order.
+	// reports, across every one of the thousand jobs regardless of engine
+	// worker count, worker contention, or queue order.
 	var ref []byte
 	for id, data := range results {
 		if ref == nil {

@@ -76,7 +76,8 @@ func parseAuditParams(q url.Values, base core.Config) (auditParams, error) {
 	if paramErr != nil {
 		return p, paramErr
 	}
-	if p.Cols*p.Rows > maxGridCells {
+	// Divide rather than multiply: cols*rows can wrap to a small value.
+	if p.Cols > maxGridCells/p.Rows {
 		return p, fmt.Errorf("grid %dx%d too large", p.Cols, p.Rows)
 	}
 	return p, nil

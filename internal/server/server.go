@@ -96,7 +96,7 @@ func (c Config) withDefaults() Config {
 //	POST /audit/geojson      LAR CSV body -> GeoJSON of flagged regions
 //	POST /jobs               LAR CSV body -> 202 + job snapshot (async audit)
 //	GET  /jobs               list the caller's retained jobs
-//	GET  /jobs/{id}          job status snapshot with live progress
+//	GET  /jobs/{id}          job status snapshot with the audit's pair counts
 //	GET  /jobs/{id}/result   finished report (JSON or GeoJSON)
 //	DELETE /jobs/{id}        cancel a queued or running job
 //	GET  /metrics            JSON snapshot of every counter, gauge, histogram

@@ -114,6 +114,7 @@ func TestAuditBadInputs(t *testing.T) {
 		{"bad min_region", "/audit?min_region=small", validHeaderOnly(), http.StatusBadRequest},
 		{"zero min_region", "/audit?min_region=0", validHeaderOnly(), http.StatusBadRequest},
 		{"huge grid", "/audit?cols=2000&rows=2000", validHeaderOnly(), http.StatusBadRequest},
+		{"overflowing grid", "/audit?cols=4294967296&rows=4294967296", validHeaderOnly(), http.StatusBadRequest},
 		{"bad seed", "/audit?seed=-1", validHeaderOnly(), http.StatusBadRequest},
 		{"fractional seed", "/audit?seed=1.5", validHeaderOnly(), http.StatusBadRequest},
 		{"no decisioned rows", "/audit", noDecisionedCSV(), http.StatusBadRequest},
