@@ -87,9 +87,11 @@ examples-smoke:
 		LCSF_EXAMPLE_FAST=1 $(GO) run ./$$d >/dev/null || exit 1; \
 	done
 
-# A bounded pass of every differential fuzz target in internal/verify: each
-# target first replays its checked-in corpus, then mutates for FUZZTIME.
-# The go tool accepts one -fuzz pattern per invocation, hence the loop.
+# A bounded pass of every differential fuzz target in internal/verify, then
+# of the request-path target in internal/server (any query and body to
+# POST /audit yields a readable report or a 4xx): each target first replays
+# its corpus, then mutates for FUZZTIME. The go tool accepts one -fuzz
+# pattern per invocation, hence the loop.
 FUZZTIME ?= 4s
 fuzz-smoke:
 	@for t in FuzzMannWhitneySorted FuzzKolmogorovSmirnovSorted \
@@ -98,6 +100,8 @@ fuzz-smoke:
 		echo "fuzz $$t"; \
 		$(GO) test -run '^$$' -fuzz "^$$t$$" -fuzztime $(FUZZTIME) ./internal/verify || exit 1; \
 	done
+	@echo "fuzz FuzzAuditRequest"; \
+		$(GO) test -run '^$$' -fuzz '^FuzzAuditRequest$$' -fuzztime $(FUZZTIME) ./internal/server
 
 # Statement-coverage gate over the numerical heart of the framework. The
 # floor lives in COVERAGE.txt; ratchet it up when coverage improves, never

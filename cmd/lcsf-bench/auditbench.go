@@ -31,9 +31,9 @@ const auditBenchMaxSize = 100000
 // at a given region count under DefaultConfig, the derived pair throughput,
 // and the candidate-generation statistics of one instrumented run — how many
 // pairs the window join emitted, the fraction of the full triangle pruned
-// before the gate cascade, the shared null cache's traffic, and the pre-warm
-// pass's funnel (keys filled before the sweep and the worlds simulated for
-// them). Workers records the sweep parallelism the row ran with so rows from
+// before the gate cascade, the shared null cache's traffic, and its fills
+// (the distinct keys the sweep simulated on demand and the worlds drawn for
+// them; the JSON names keep their pre-warm-era spelling). Workers records the sweep parallelism the row ran with so rows from
 // differently-sized machines are comparable.
 type auditBenchResult struct {
 	Regions     int     `json:"regions"`
@@ -52,7 +52,8 @@ type auditBenchResult struct {
 	// flat, not linear).
 	ScalingEfficiency float64 `json:"scaling_efficiency,omitempty"`
 	// PhaseSeconds is the instrumented run's wall-clock breakdown by
-	// pipeline phase (partition, index, prepare, prewarm, sweep, fdr).
+	// pipeline phase (partition, index, prepare, sweep, fdr). Rows recorded
+	// before null fills moved into the sweep also carry a prewarm phase.
 	PhaseSeconds map[string]float64 `json:"phase_seconds,omitempty"`
 
 	CandidateGen     string  `json:"candidate_gen"`
@@ -125,7 +126,7 @@ func runAuditBench(regions int, cfg core.Config) (auditBenchResult, error) {
 
 	// One instrumented run (outside the timing loop) to record the candidate
 	// funnel: window emissions, pairs surviving to the cascade, the null
-	// cache's hit rate, and the pre-warm pass's coverage.
+	// cache's hit rate, and the null keys the sweep simulated.
 	col := obs.NewCollector(16)
 	icfg := cfg
 	icfg.Collector = col
@@ -154,7 +155,6 @@ func runAuditBench(regions int, cfg core.Config) (auditBenchResult, error) {
 		"partition": obs.MAuditPhasePartitionSeconds,
 		"index":     obs.MAuditPhaseIndexSeconds,
 		"prepare":   obs.MAuditPhasePrepareSeconds,
-		"prewarm":   obs.MAuditPhasePrewarmSeconds,
 		"sweep":     obs.MAuditPhaseSweepSeconds,
 		"fdr":       obs.MAuditPhaseFDRSeconds,
 	} {
@@ -248,7 +248,7 @@ func writeAuditBench(path string, full bool) error {
 		if err != nil {
 			return fmt.Errorf("R=%d: %w", r, err)
 		}
-		fmt.Printf("audit-bench R=%d: %d pairs, %.3fs/op, %d allocs/op, %.0f pairs/sec (%s: %.1f%% pruned, cache hit rate %.1f%%, prewarm %d keys)\n",
+		fmt.Printf("audit-bench R=%d: %d pairs, %.3fs/op, %d allocs/op, %.0f pairs/sec (%s: %.1f%% pruned, cache hit rate %.1f%%, %d null keys simulated)\n",
 			r, res.Pairs, float64(res.NsPerOp)/1e9, res.AllocsPerOp, res.PairsPerSec,
 			res.CandidateGen, 100*res.PruningRatio, 100*res.CacheHitRate, res.PrewarmKeys)
 		out.Benchmarks = append(out.Benchmarks, res)

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"math"
 	"runtime"
-	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -455,22 +454,6 @@ func auditEngine(ctx context.Context, p *partition.Partitioning, cfg Config, hoo
 	run.buildFastPath()
 	col.ObserveSeconds(obs.MAuditPhasePrepareSeconds, now().Sub(prepPhaseStart))
 
-	// Pre-warm the shared null cache: materialize every (n1, n2, pooled)
-	// signature the sweep could miss on BEFORE the pair loop, so workers
-	// almost never simulate inline. Entries are key-seeded, so a prewarmed
-	// cache answers bit-identically to a cold one. The prewarm barrier is
-	// also the freeze point: the cache's fill state is snapshotted into a
-	// read-only flat index (stats.FrozenNullCache) that sweep workers probe
-	// lock-free; keys born later (a delta repair, a capacity overflow) fall
-	// through to the live cache, bit-identically.
-	prewarmStart := now()
-	run.prewarmNullCache(ctx, workers, col, now)
-	run.frozen = run.nullCache.Freeze()
-	col.ObserveSeconds(obs.MAuditPhasePrewarmSeconds, now().Sub(prewarmStart))
-	if ctx.Err() != nil {
-		return canceled()
-	}
-
 	// Phase 2: the pair sweep. Workers claim outer-loop probe rows through
 	// the work-stealing rowScheduler — deterministic dynamic scheduling:
 	// which worker scores a pair never affects its result (per-pair
@@ -480,12 +463,19 @@ func auditEngine(ctx context.Context, p *partition.Partitioning, cfg Config, hoo
 	// worker starts on a contiguous span of rows and steals only when its
 	// span drains, so consecutive claims keep overlapping partner windows
 	// cache-resident; steals are counted in per-worker padded shards and
-	// published once at phase end.
+	// published once at phase end. Monte-Carlo nulls are simulated on demand:
+	// the first candidate past the prescreen that needs a count signature
+	// fills its shared-cache entry, and nothing else is ever simulated.
 	sweepStart := now()
+	var evictions0 int64
+	if run.nullCache != nil {
+		_, _, evictions0 = run.nullCache.Stats()
+	}
 	type shard struct {
 		pairs      []UnfairPair
 		tally      pairTally
 		candidates int
+		sc         Scratch // the worker's scratch; its null memo's counts are summed below
 	}
 	shards := make([]shard, workers)
 	run.pairBufs = growSlice(run.pairBufs, workers)
@@ -508,9 +498,11 @@ func auditEngine(ctx context.Context, p *partition.Partitioning, cfg Config, hoo
 			}
 			// Per-worker reusable state: one RNG reseeded per pair (so the
 			// Monte-Carlo stream stays a function of pair identity alone)
-			// and one Scratch — the steady-state loop allocates nothing.
+			// and one Scratch, whose null memo answers repeat signatures
+			// without touching the shared cache — the steady-state loop
+			// allocates nothing.
 			rng := stats.NewRNG(0)
-			var sc Scratch
+			sc := &sh.sc
 			sinceCheck := 0
 			probe := 0
 			// One closure per worker (not per probe): visits partner jj of
@@ -535,9 +527,9 @@ func auditEngine(ctx context.Context, p *partition.Partitioning, cfg Config, hoo
 				var pr UnfairPair
 				var ok bool
 				if useFast {
-					pr, ok = run.fastAuditPair(probe, jj, &sh.tally, rng, keepScores, indexed)
+					pr, ok = run.fastAuditPair(probe, jj, &sh.tally, sc, rng, keepScores, indexed)
 				} else {
-					pr, ok = run.auditPair(probe, jj, &sh.tally, &sc, rng)
+					pr, ok = run.auditPair(probe, jj, &sh.tally, sc, rng)
 				}
 				if ok {
 					sh.candidates++
@@ -598,10 +590,13 @@ func auditEngine(ctx context.Context, p *partition.Partitioning, cfg Config, hoo
 	}
 	res.Pairs = make([]UnfairPair, 0, total)
 	var tally pairTally
+	var nullHits, nullFills int64
 	for i := range shards {
 		sh := &shards[i]
 		res.Pairs = append(res.Pairs, sh.pairs...)
 		tally.add(&sh.tally)
+		nullHits += sh.sc.nulls.hits
+		nullFills += sh.sc.nulls.fills
 	}
 	var candidates []UnfairPair
 	if hooks.keepAll {
@@ -620,12 +615,15 @@ func auditEngine(ctx context.Context, p *partition.Partitioning, cfg Config, hoo
 		col.Count(obs.MAuditIndexBoundsRejections, tally.boundsRejections)
 	}
 	if run.nullCache != nil {
-		hits, misses, evictions := run.nullCache.Stats()
-		// Frozen-snapshot hits are hits of the same cache contents served
-		// lock-free; the published hit count is the sum of both paths.
-		col.Count(obs.MMCNullCacheHits, hits+tally.frozenHits)
-		col.Count(obs.MMCNullCacheMisses, misses)
-		col.Count(obs.MMCNullCacheEvictions, evictions)
+		// Per-audit figures: the workers' memos count this sweep's lookups,
+		// and the eviction count is differenced because a delta auditor's
+		// cache outlives the audit. Every miss simulated one fresh key.
+		_, _, evictions := run.nullCache.Stats()
+		col.Count(obs.MMCNullCacheHits, nullHits)
+		col.Count(obs.MMCNullCacheMisses, nullFills)
+		col.Count(obs.MMCNullCacheEvictions, evictions-evictions0)
+		col.Count(obs.MMCNullPrewarmKeys, nullFills)
+		col.Count(obs.MMCNullPrewarmWorlds, nullFills*int64(cfg.MCWorlds))
 	}
 	elapsed := now().Sub(start)
 	col.ObserveSeconds(obs.MAuditSeconds, elapsed)
@@ -711,9 +709,8 @@ type pairTally struct {
 	etaFastPath    int64 // dissimilar pairs exiting via the Eta outcome fast path
 	simRejections  int64 // passed dissimilarity and Eta, failed similarity
 	prescreenSkips int64 // candidates below PrescreenTau, simulation skipped
-	mcWorlds       int64 // Monte-Carlo worlds actually simulated
+	mcWorlds       int64 // per-pair Monte-Carlo worlds simulated (null-cache fills are counted by nullMemo)
 	mcEarlyStops   int64 // adaptive estimates that stopped early
-	frozenHits     int64 // null-cache hits served by the frozen snapshot
 
 	// Indexed-plan counters (zero under a dense plan): pairs emitted by the
 	// window join, and emitted pairs the O(1) summary bounds (metric Bounds
@@ -731,7 +728,6 @@ func (t *pairTally) add(o *pairTally) {
 	t.prescreenSkips += o.prescreenSkips
 	t.mcWorlds += o.mcWorlds
 	t.mcEarlyStops += o.mcEarlyStops
-	t.frozenHits += o.frozenHits
 	t.windowCandidates += o.windowCandidates
 	t.boundsRejections += o.boundsRejections
 }
@@ -761,13 +757,9 @@ type auditRunner struct {
 	sim, diss preparedScorer
 
 	// nullCache, when non-nil, answers Monte-Carlo p-values from shared
-	// key-seeded null samples instead of per-pair streams.
+	// key-seeded null samples instead of per-pair streams. Sweep workers
+	// reach it through their Scratch's nullMemo.
 	nullCache *stats.PairNullCache
-	// frozen is the nullCache's read-only snapshot, taken at the prewarm
-	// barrier. Sweep workers probe it first — lock-free, allocation-free —
-	// and fall through to the live cache on a miss; both paths answer
-	// bit-identically because entries are key-seeded.
-	frozen *stats.FrozenNullCache
 
 	// Index state, populated by buildIndex (zero-valued under a dense plan):
 	// the summary index itself (retained so the delta auditor can repair it
@@ -843,9 +835,10 @@ func newAuditRunner(cfg Config, regions []*partition.Region) *auditRunner {
 	run.sim.soa, run.sim.state = simSoa, simState
 	run.diss.soa, run.diss.state = dissSoa, dissState
 	if cfg.MCNullCacheSize > 0 {
-		// The null cache is NOT pooled: its fill state feeds the prewarm
-		// funnel counters, which must not depend on what ran earlier in the
-		// process (entry values are key-seeded and would be identical).
+		// The null cache is NOT pooled: its fill state decides which keys
+		// this audit simulates, and the mc.null_prewarm.* counters must not
+		// depend on what ran earlier in the process (entry values are
+		// key-seeded and would be identical).
 		run.nullCache = stats.NewPairNullCache(cfg.Seed, cfg.MCWorlds, cfg.MCNullCacheSize)
 	}
 	return run
@@ -950,100 +943,6 @@ func (ar *auditRunner) pairHint() int64 {
 	return n * n
 }
 
-// prewarmSigPairLimit bounds the pre-warm pass's signature-pair scan; above
-// it the scan itself would rival the simulations it saves, so the sweep
-// falls back to inline fills (results are identical either way — entries are
-// key-seeded).
-const prewarmSigPairLimit = 1 << 22
-
-// prewarmNullCache materializes the shared null cache's entries before the
-// pair sweep. A pair's cache key depends only on the two regions' count
-// signatures (N, Positives), so the distinct-signature product — far smaller
-// than the pair set — covers every key the candidate plan's pairs can
-// request. Signature pairs inside the Eta band are screened out with the
-// sweep's own rate comparison (such pairs exit the cascade before the cache),
-// and fills stop at the cache's capacity, where further fills could only
-// evict each other. Entries are key-seeded, so a prewarmed cache answers the
-// sweep bit-identically to a cold one; only the hit/miss split moves.
-func (ar *auditRunner) prewarmNullCache(ctx context.Context, workers int, col *obs.Collector, now func() time.Time) {
-	cache := ar.nullCache
-	if cache == nil || ar.cfg.MCWorlds <= 0 || len(ar.regions) < 2 {
-		return
-	}
-	start := now()
-	type sig struct{ n, pos int }
-	mult := make(map[sig]int, len(ar.regions))
-	sigs := make([]sig, 0, len(ar.regions))
-	for _, r := range ar.regions {
-		s := sig{n: r.N, pos: r.Positives}
-		if mult[s] == 0 {
-			sigs = append(sigs, s)
-		}
-		mult[s]++
-	}
-	if int64(len(sigs))*int64(len(sigs)) > prewarmSigPairLimit {
-		return
-	}
-	// Deterministic fill order: the capacity cutoff must not depend on map
-	// iteration order (fills themselves are order-independent).
-	sort.Slice(sigs, func(i, j int) bool {
-		if sigs[i].n != sigs[j].n {
-			return sigs[i].n < sigs[j].n
-		}
-		return sigs[i].pos < sigs[j].pos
-	})
-
-	eta := ar.cfg.Eta
-	capacity := int64(cache.Capacity())
-	var filled atomic.Int64
-	var nextSig atomic.Int64
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			sinceCheck := 0
-			for {
-				i := int(nextSig.Add(1)) - 1
-				if i >= len(sigs) || ctx.Err() != nil || filled.Load() >= capacity {
-					return
-				}
-				a := sigs[i]
-				ra := float64(a.pos) / float64(a.n)
-				for j := i; j < len(sigs); j++ {
-					sinceCheck++
-					if sinceCheck >= cancelCheckInterval {
-						sinceCheck = 0
-						if ctx.Err() != nil {
-							return
-						}
-					}
-					if j == i && mult[a] < 2 {
-						continue // a signature pairs with itself only when two regions share it
-					}
-					b := sigs[j]
-					if eta > 0 {
-						rb := float64(b.pos) / float64(b.n)
-						if math.Abs(ra-rb) <= eta {
-							continue // the Eta fast path exits before the cache
-						}
-					}
-					if cache.Prewarm(a.n, b.n, a.pos+b.pos) {
-						if filled.Add(1) >= capacity {
-							return
-						}
-					}
-				}
-			}
-		}()
-	}
-	wg.Wait()
-	keys := filled.Load()
-	col.Count(obs.MMCNullPrewarmKeys, keys)
-	col.Count(obs.MMCNullPrewarmWorlds, keys*int64(ar.cfg.MCWorlds))
-	col.ObserveSeconds(obs.MMCNullPrewarmSeconds, now().Sub(start))
-}
-
 // summaryReject applies the O(1) summary-level filters to an emitted
 // candidate: the exact Eta interval and each prunable gate's Bounds. True
 // means the exact cascade would certainly reject the pair, so it is skipped
@@ -1117,7 +1016,7 @@ func (ar *auditRunner) auditPair(ii, jj int, t *pairTally, sc *Scratch, rng *sta
 	}
 
 	tau := ar.pairLRT(ii, jj, a, b)
-	pval := ar.pairPValue(a, b, tau, t, rng)
+	pval := ar.pairPValue(a, b, tau, t, sc, rng)
 
 	pr := UnfairPair{
 		I: a.Index, J: b.Index,
@@ -1138,12 +1037,12 @@ func (ar *auditRunner) auditPair(ii, jj int, t *pairTally, sc *Scratch, rng *sta
 // pairPValue resolves a candidate pair's p-value — the cascade's final step,
 // shared by auditPair and fastAuditPair so the two kernels cannot drift. The
 // prescreen, cache, FDR, and adaptive Monte-Carlo branches are tried in the
-// fixed order the determinism battery pins; the shared-cache branch probes
-// the frozen snapshot first (lock-free) and falls back to the live cache,
-// which answers bit-identically for any resident key.
+// fixed order the determinism battery pins; the shared-cache branch reads the
+// key's null sample through the worker's memo, which simulates it on the
+// audit's first demand for the key.
 //
 //lint:hotpath
-func (ar *auditRunner) pairPValue(a, b *partition.Region, tau float64, t *pairTally, rng *stats.RNG) float64 {
+func (ar *auditRunner) pairPValue(a, b *partition.Region, tau float64, t *pairTally, sc *Scratch, rng *stats.RNG) float64 {
 	cfg := &ar.cfg
 	switch {
 	case cfg.PrescreenTau > 0 && tau <= cfg.PrescreenTau:
@@ -1155,17 +1054,10 @@ func (ar *auditRunner) pairPValue(a, b *partition.Region, tau float64, t *pairTa
 		return stats.ChiSquareSF(math.Max(tau, 0), 1)
 	case ar.nullCache != nil:
 		// The shared null cache: one key-seeded sorted sample per count
-		// signature, p by binary search. Worlds are tallied once per fresh
-		// signature — the effort actually spent.
-		if p, ok := ar.frozen.PValue(a.N, b.N, a.Positives+b.Positives, tau); ok {
-			t.frozenHits++
-			return p
-		}
-		pval, hit := ar.nullCache.PValue(a.N, b.N, a.Positives+b.Positives, tau)
-		if !hit {
-			t.mcWorlds += int64(cfg.MCWorlds)
-		}
-		return pval
+		// signature, p by binary search. Its simulations are counted under
+		// mc.null_prewarm.*, not in the per-pair world tally.
+		sorted := sc.nulls.sample(ar.nullCache, a.N, b.N, a.Positives+b.Positives)
+		return stats.NullTailP(sorted, tau)
 	case ar.fdr:
 		pooled := float64(a.Positives+b.Positives) / float64(a.N+b.N)
 		rng.Seed(pairSeed(cfg.Seed, a.Index, b.Index))
@@ -1181,6 +1073,62 @@ func (ar *auditRunner) pairPValue(a, b *partition.Region, tau float64, t *pairTa
 		}
 		return pval
 	}
+}
+
+// nullMemo is a sweep worker's private key→sample memo in front of the
+// shared null cache. Count signatures repeat across a worker's candidates, so
+// after a key's first lookup the worker answers it from its own map — no
+// locks, no atomics, no allocation. A sample is immutable and a function of
+// (seed, worlds, key) alone, so a memoized sample is exactly what the cache
+// would return. The memo is bound to one cache: a lookup against another
+// cache (a Scratch reused across audits) starts it afresh. It holds at most
+// the cache's Capacity() entries; past that, lookups go to the cache.
+type nullMemo struct {
+	cache   *stats.PairNullCache
+	samples map[nullKey][]float64
+	hits    int64 // lookups answered without simulating (memo or cache hit)
+	fills   int64 // keys this worker simulated (shared-cache misses)
+}
+
+// nullKey is a normalized null-cache key: n1 <= n2.
+type nullKey struct{ n1, n2, pooled int }
+
+// sample returns the ascending null sample for (n1, n2, pooled), simulating
+// it in the shared cache on the cache's first lookup of the key.
+//
+//lint:hotpath
+func (m *nullMemo) sample(c *stats.PairNullCache, n1, n2, pooled int) []float64 {
+	if n1 > n2 {
+		n1, n2 = n2, n1
+	}
+	key := nullKey{n1: n1, n2: n2, pooled: pooled}
+	if m.cache == c {
+		if s, ok := m.samples[key]; ok {
+			m.hits++
+			return s
+		}
+	} else {
+		m.cache = c
+		clear(m.samples)
+	}
+	s, hit := c.Sample(n1, n2, pooled)
+	if hit {
+		m.hits++
+	} else {
+		m.fills++
+	}
+	if len(m.samples) < c.Capacity() {
+		m.remember(key, s) //lint:hotpathalloc-ok once per key per worker, amortized over the worker's repeat lookups
+	}
+	return s
+}
+
+// remember inserts a sample into the memo, creating the map on first use.
+func (m *nullMemo) remember(key nullKey, s []float64) {
+	if m.samples == nil {
+		m.samples = make(map[nullKey][]float64)
+	}
+	m.samples[key] = s
 }
 
 // pairSeed derives a deterministic per-pair Monte-Carlo seed.

@@ -75,17 +75,14 @@ func TestFastPathMatchesExact(t *testing.T) {
 			// skewing the world tallies without any kernel divergence.
 			fastRun := newFastPathRunner(t, p, cfg)
 			exactRun := newFastPathRunner(t, p, cfg)
-			if tc.cache > 0 {
-				fastRun.frozen = fastRun.nullCache.Freeze()
-			}
 			var fastTally, exactTally pairTally
 			fastRNG, exactRNG := stats.NewRNG(0), stats.NewRNG(0)
-			var sc Scratch
+			var fastSc, exactSc Scratch
 			candidates := 0
 			for ii := range fastRun.regions {
 				for jj := ii + 1; jj < len(fastRun.regions); jj++ {
-					fast, fok := fastRun.fastAuditPair(ii, jj, &fastTally, fastRNG, tc.keepScores, false)
-					exact, eok := exactRun.auditPair(ii, jj, &exactTally, &sc, exactRNG)
+					fast, fok := fastRun.fastAuditPair(ii, jj, &fastTally, &fastSc, fastRNG, tc.keepScores, false)
+					exact, eok := exactRun.auditPair(ii, jj, &exactTally, &exactSc, exactRNG)
 					if !tc.keepScores && fok {
 						// The lazy kernel only materializes scores for pairs
 						// its caller would append; mirror the engine's filter
@@ -105,6 +102,10 @@ func TestFastPathMatchesExact(t *testing.T) {
 			}
 			if fastTally != exactTally {
 				t.Fatalf("tallies diverged\n fast  %+v\n exact %+v", fastTally, exactTally)
+			}
+			if fastSc.nulls.hits != exactSc.nulls.hits || fastSc.nulls.fills != exactSc.nulls.fills {
+				t.Fatalf("null lookups diverged: fast %d hits/%d fills, exact %d hits/%d fills",
+					fastSc.nulls.hits, fastSc.nulls.fills, exactSc.nulls.hits, exactSc.nulls.fills)
 			}
 		})
 	}
@@ -130,14 +131,15 @@ func TestFastPathPreGatedMatches(t *testing.T) {
 	}
 	checked := 0
 	var ungatedTally, preTally, scratch pairTally
+	var ungatedSc, preSc Scratch
 	ungatedRNG, preRNG := stats.NewRNG(0), stats.NewRNG(0)
 	for ii := range run.regions {
 		for jj := ii + 1; jj < len(run.regions); jj++ {
 			if run.summaryReject(ii, jj, &scratch) {
 				continue
 			}
-			full, fok := run.fastAuditPair(ii, jj, &ungatedTally, ungatedRNG, true, false)
-			pre, pok := run.fastAuditPair(ii, jj, &preTally, preRNG, true, true)
+			full, fok := run.fastAuditPair(ii, jj, &ungatedTally, &ungatedSc, ungatedRNG, true, false)
+			pre, pok := run.fastAuditPair(ii, jj, &preTally, &preSc, preRNG, true, true)
 			comparePair(t, "preGated", pre, full, pok, fok)
 			checked++
 		}

@@ -150,63 +150,85 @@ func TestAuditIndexedFunnelCounters(t *testing.T) {
 	}
 }
 
-// TestAuditNullCacheCounters pins the shared-cache accounting under the
-// pre-warm pass: every simulated candidate answers exactly one cache lookup,
-// the pre-warm funnel (mc.null_prewarm.{keys,worlds,seconds}) balances —
-// worlds == keys x MCWorlds, keys within capacity — and a complete pre-warm
-// leaves the sweep with zero misses, zero inline worlds, and zero early
-// stops.
+// TestAuditNullCacheCounters pins the shared-cache accounting under
+// on-demand fills: the audit simulates exactly the distinct (n1, n2, pooled)
+// keys of its candidates past the prescreen — computed independently here
+// from the keepAll candidate list — each once, every other simulated
+// candidate answers from an existing sample, and the counts are the same at
+// every worker count.
 func TestAuditNullCacheCounters(t *testing.T) {
 	p := manyRegions(t)
 	cfg := DefaultConfig()
 	cfg.Alpha = 0.05
 	cfg.MCWorlds = 99
-	col := newTestCollector()
-	cfg.Collector = col
 
-	res, err := Audit(p, cfg)
+	_, run, cands, err := auditEngine(context.Background(), p, cfg, auditHooks{keepAll: true})
 	if err != nil {
 		t.Fatal(err)
 	}
-	s := col.Snapshot()
+	recycleRunner(run)
+	demanded := map[nullKey]bool{}
+	for _, pr := range cands {
+		if pr.Tau <= cfg.PrescreenTau {
+			continue
+		}
+		a, b := &p.Regions[pr.I], &p.Regions[pr.J]
+		n1, n2 := a.N, b.N
+		if n1 > n2 {
+			n1, n2 = n2, n1
+		}
+		demanded[nullKey{n1: n1, n2: n2, pooled: a.Positives + b.Positives}] = true
+	}
+	if len(demanded) == 0 {
+		t.Fatal("fixture demands no null keys; the contract proves nothing")
+	}
 
-	hits := s.Counter(obs.MMCNullCacheHits)
-	misses := s.Counter(obs.MMCNullCacheMisses)
-	simulated := int64(res.Candidates) - s.Counter(obs.MAuditPrescreenSkips)
-	if hits+misses != simulated {
-		t.Errorf("cache lookups = %d hits + %d misses, want %d simulated candidates", hits, misses, simulated)
-	}
-	prewarmKeys := s.Counter(obs.MMCNullPrewarmKeys)
-	prewarmWorlds := s.Counter(obs.MMCNullPrewarmWorlds)
-	if prewarmKeys <= 0 || prewarmKeys > int64(cfg.MCNullCacheSize) {
-		t.Errorf("prewarm keys = %d outside (0, capacity %d]", prewarmKeys, cfg.MCNullCacheSize)
-	}
-	if want := prewarmKeys * int64(cfg.MCWorlds); prewarmWorlds != want {
-		t.Errorf("prewarm worlds = %d, want keys x m = %d", prewarmWorlds, want)
-	}
-	if h := s.Histograms[obs.MMCNullPrewarmSeconds]; h.Count != 1 {
-		t.Errorf("mc.null_prewarm.seconds histogram = %+v, want one observation", h)
-	}
-	// The pre-warm's signature product covers every key a sweep pair can
-	// request, and its Eta screen is the sweep's own rate comparison, so a
-	// pass that hit neither the capacity cutoff nor the signature limit
-	// leaves nothing to simulate inline.
-	if misses != 0 {
-		t.Errorf("misses = %d after a complete pre-warm, want 0", misses)
-	}
-	if hits != simulated {
-		t.Errorf("hits = %d, want every one of %d simulated candidates", hits, simulated)
-	}
-	if got := s.Counter(obs.MAuditMCWorlds); got != 0 {
-		t.Errorf("inline mc worlds = %d after pre-warm, want 0", got)
-	}
-	if s.Counter(obs.MAuditMCEarlyStops) != 0 {
-		t.Errorf("cached audit recorded %d early stops; the cache path never stops early",
-			s.Counter(obs.MAuditMCEarlyStops))
-	}
-	if s.Counter(obs.MMCNullCacheEvictions) != 0 {
-		t.Errorf("default-sized cache evicted %d entries on a 12-region audit",
-			s.Counter(obs.MMCNullCacheEvictions))
+	type counts struct{ keys, worlds, hits, misses, evictions int64 }
+	var first counts
+	for i, workers := range []int{1, 2, 4, 8} {
+		cfg := cfg
+		cfg.Workers = workers
+		col := newTestCollector()
+		cfg.Collector = col
+		res, err := Audit(p, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		s := col.Snapshot()
+		got := counts{
+			keys:      s.Counter(obs.MMCNullPrewarmKeys),
+			worlds:    s.Counter(obs.MMCNullPrewarmWorlds),
+			hits:      s.Counter(obs.MMCNullCacheHits),
+			misses:    s.Counter(obs.MMCNullCacheMisses),
+			evictions: s.Counter(obs.MMCNullCacheEvictions),
+		}
+		if got.keys != int64(len(demanded)) {
+			t.Errorf("workers=%d: simulated keys = %d, want the %d demanded keys", workers, got.keys, len(demanded))
+		}
+		if want := got.keys * int64(cfg.MCWorlds); got.worlds != want {
+			t.Errorf("workers=%d: simulated worlds = %d, want keys x m = %d", workers, got.worlds, want)
+		}
+		if got.misses != got.keys {
+			t.Errorf("workers=%d: misses = %d, want one per simulated key (%d)", workers, got.misses, got.keys)
+		}
+		simulated := int64(res.Candidates) - s.Counter(obs.MAuditPrescreenSkips)
+		if got.hits+got.misses != simulated {
+			t.Errorf("workers=%d: lookups = %d hits + %d misses, want %d candidates past the prescreen",
+				workers, got.hits, got.misses, simulated)
+		}
+		if got.evictions != 0 {
+			t.Errorf("workers=%d: default-sized cache evicted %d entries on a 12-region audit", workers, got.evictions)
+		}
+		// Cached p-values come from the shared samples: no per-pair worlds,
+		// and never an adaptive early stop.
+		if w, e := s.Counter(obs.MAuditMCWorlds), s.Counter(obs.MAuditMCEarlyStops); w != 0 || e != 0 {
+			t.Errorf("workers=%d: per-pair mc worlds = %d, early stops = %d, want 0 under the cache", workers, w, e)
+		}
+		if i == 0 {
+			first = got
+		} else if got != first {
+			t.Errorf("workers=%d: null-cache counts %+v differ from workers=1 %+v", workers, got, first)
+		}
 	}
 }
 
@@ -346,7 +368,6 @@ func TestAuditPhaseSecondsInvariant(t *testing.T) {
 		obs.MAuditPhasePartitionSeconds,
 		obs.MAuditPhaseIndexSeconds,
 		obs.MAuditPhasePrepareSeconds,
-		obs.MAuditPhasePrewarmSeconds,
 		obs.MAuditPhaseSweepSeconds,
 		obs.MAuditPhaseFDRSeconds,
 	}
@@ -361,6 +382,11 @@ func TestAuditPhaseSecondsInvariant(t *testing.T) {
 			t.Errorf("phase %s: negative duration %v", name, h.Sum)
 		}
 		phaseSum += h.Sum
+	}
+	// Nulls are simulated inside the sweep; the retired pre-warm phase must
+	// stay unobserved rather than report an empty interval.
+	if h, ok := s.Histograms[obs.MAuditPhasePrewarmSeconds]; ok {
+		t.Errorf("retired phase %s observed: %+v", obs.MAuditPhasePrewarmSeconds, h)
 	}
 	total := s.Histograms[obs.MAuditSeconds].Sum
 	if phaseSum > total {

@@ -17,10 +17,12 @@ type PreparedRegion any
 // metrics that need a temporary buffer can reuse one allocation across the
 // whole pair sweep instead of allocating per pair. The built-in metrics score
 // directly against their caches and never touch it; it exists for custom
-// PreparedMetric implementations. A Scratch is not safe for concurrent use —
-// the audit gives each worker its own.
+// PreparedMetric implementations. The engine also keeps the worker's
+// Monte-Carlo null memo here. A Scratch is not safe for concurrent use — the
+// audit gives each worker its own.
 type Scratch struct {
-	buf []float64
+	buf   []float64
+	nulls nullMemo
 }
 
 // Float64s returns a length-n float64 slice backed by the scratch's reusable

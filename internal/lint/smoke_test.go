@@ -73,7 +73,8 @@ func TestHotPathAllocAgreesWithZeroAllocTest(t *testing.T) {
 		"lcsf/internal/stats.PairMonteCarloP",
 		"lcsf/internal/stats.AdaptivePairMonteCarloPStats",
 		"lcsf/internal/stats.(PairNullCache).PValue",
-		"lcsf/internal/stats.(FrozenNullCache).PValue",
+		"lcsf/internal/core.(nullMemo).sample",
+		"lcsf/internal/stats.(PairNullCache).Sample",
 		"lcsf/internal/stats.CrossBoundsCoarse",
 		"lcsf/internal/obs.(ShardedCounter).Add",
 	} {

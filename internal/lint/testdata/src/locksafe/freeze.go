@@ -1,5 +1,5 @@
-// Fixture: the freeze-then-read pattern behind the audit's frozen null
-// cache. A guarded mutable store is snapshotted once, under the proper
+// Fixture: the freeze-then-read pattern for a snapshot of a locked cache.
+// A guarded mutable store is snapshotted once, under the proper
 // locks, into an immutable flat struct that readers then use lock-free. The
 // analyzer must bless the disciplined freeze and the post-freeze reads (the
 // snapshot has no guarded fields), and flag a freeze that walks the guarded

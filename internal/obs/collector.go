@@ -59,11 +59,13 @@ const (
 	MMCNullCacheMisses    = "mc.null_cache_misses"
 	MMCNullCacheEvictions = "mc.null_cache_evictions"
 
-	// Null-cache pre-warm funnel: distinct count signatures filled before the
-	// pair sweep (keys), the Monte-Carlo worlds those fills simulated
-	// (worlds == keys x Config.MCWorlds), and the pass's wall time. Sweep-side
-	// hit/miss counters are untouched by the pre-warm, so after a complete
-	// pass (no capacity cutoff) the sweep records zero misses.
+	// Null-cache fills: the distinct count signatures (keys) one audit
+	// simulated, and the Monte-Carlo worlds those fills drew (worlds == keys x
+	// Config.MCWorlds). Nulls are simulated on demand — a key is filled when
+	// the first candidate past the prescreen needs it, and never otherwise —
+	// so keys == mc.null_cache_misses, and hits + misses == candidates -
+	// prescreen skips. The names predate on-demand fills, when a pre-warm
+	// pass filled keys before the sweep.
 	MMCNullPrewarmKeys   = "mc.null_prewarm.keys"
 	MMCNullPrewarmWorlds = "mc.null_prewarm.worlds"
 
@@ -79,10 +81,12 @@ const (
 	// Per-phase wall times of one batch audit, one observation per run:
 	// eligible-region selection and runner assembly (partition), summary-index
 	// and candidate-plan construction (index), the parallel per-region metric
-	// precompute (prepare), the null-cache pre-warm including the frozen
-	// snapshot (prewarm), the pair sweep (sweep), and result finalization —
-	// filtering, Benjamini–Hochberg when configured, and the canonical sort
-	// (fdr). Their sum tracks MAuditSeconds up to inter-phase glue.
+	// precompute (prepare), the pair sweep including its on-demand null-cache
+	// fills (sweep), and result finalization — filtering, Benjamini–Hochberg
+	// when configured, and the canonical sort (fdr). Their sum tracks
+	// MAuditSeconds up to inter-phase glue. MAuditPhasePrewarmSeconds named
+	// the retired null-cache pre-warm phase; the engine no longer observes
+	// it, and readers that still difference it see 0.
 	MAuditPhasePartitionSeconds = "audit.phase_seconds.partition"
 	MAuditPhaseIndexSeconds     = "audit.phase_seconds.index"
 	MAuditPhasePrepareSeconds   = "audit.phase_seconds.prepare"
@@ -93,8 +97,6 @@ const (
 	// that builds per-region metric caches before the pair sweep.
 	MAuditPrepareSeconds = "audit.prepare_seconds"
 	MAuditShardSeconds   = "audit.shard_seconds"
-	// MMCNullPrewarmSeconds is the wall time of the null-cache pre-warm pass.
-	MMCNullPrewarmSeconds = "mc.null_prewarm.seconds"
 	// MAuditDeltaSeconds is the wall time of one delta audit (incremental or
 	// fallen back to a full sweep), update application excluded.
 	MAuditDeltaSeconds = "audit.delta.seconds"

@@ -63,11 +63,17 @@ func TestMetricsAfterAudit(t *testing.T) {
 	// shared null cache: pairs the gates provably reject are pruned before
 	// the cascade (so the window/bounds counters fire instead of the
 	// dissimilarity/Eta cascade counters), cached p-values never stop early
-	// (so mc.early_stops stays zero by design), and the pre-warm pass
-	// materializes every count signature before the sweep (so the Monte-Carlo
-	// effort lands in mc.null_prewarm.* while the sweep's inline mc.worlds
-	// and cache misses stay zero by design).
+	// (so mc.early_stops stays zero by design), and the sweep simulates each
+	// count signature on its first demand (so the Monte-Carlo effort lands in
+	// mc.null_prewarm.* rather than the per-pair mc.worlds, and every
+	// candidate past the prescreen is exactly one cache hit or miss).
 	doc := getMetrics(t, srv)
+	hits, misses := doc.Counters[obs.MMCNullCacheHits], doc.Counters[obs.MMCNullCacheMisses]
+	lookups := doc.Counters[obs.MAuditCandidates] - doc.Counters[obs.MAuditPrescreenSkips]
+	if hits+misses != lookups {
+		t.Errorf("null-cache lookups = %d hits + %d misses, want candidates - prescreen skips = %d",
+			hits, misses, lookups)
+	}
 	for _, name := range []string{
 		obs.MAuditRuns,
 		obs.MAuditEligible,
@@ -78,7 +84,6 @@ func TestMetricsAfterAudit(t *testing.T) {
 		obs.MAuditIndexPairsTotal,
 		obs.MAuditIndexWindowCandidates,
 		obs.MAuditIndexBoundsRejections,
-		obs.MMCNullCacheHits,
 		obs.MMCNullPrewarmKeys,
 		obs.MMCNullPrewarmWorlds,
 		obs.MHTTPRequests,

@@ -14,7 +14,7 @@ import (
 )
 
 // larBody renders a synthetic LAR as the CSV a client would post.
-func larBody(t *testing.T, n int, bias float64) *bytes.Buffer {
+func larBody(t testing.TB, n int, bias float64) *bytes.Buffer {
 	t.Helper()
 	model := census.Generate(census.Config{NumTracts: 1500, Seed: 42})
 	recs := hmda.Generate(model, hmda.Lender{Name: "T", Decisioned: n, Bias: bias, Seed: 7})

@@ -90,21 +90,17 @@ func (c *PairNullCache) Stats() (hits, misses, evictions int64) {
 	return c.hits.Load(), c.misses.Load(), c.evictions.Load()
 }
 
-// PValue returns the add-one Monte-Carlo p-value of an observed statistic
-// against the cached null sample for (n1, n2, pooledPositives), simulating
-// the sample on first use:
-//
-//	p = (1 + #{tau_null >= observed}) / (m + 1)
-//
-// — the same estimator as MonteCarloP, with the count answered by binary
-// search over the sorted sample. hit reports whether the entry already
-// existed (false exactly once per key per residency in the cache). The
-// returned p is deterministic in (seed, worlds, key, observed) either way.
+// Sample returns the ascending null sample for (n1, n2, pooledPositives),
+// simulating it on first use. hit reports whether the entry already existed
+// (false exactly once per key per residency in the cache); concurrent
+// callers of a fresh key wait on the one simulation. The sample is shared
+// and immutable — callers must not modify it — and a function of
+// (seed, worlds, key) alone. A cache with no worlds answers an empty sample.
 //
 //lint:hotpath
-func (c *PairNullCache) PValue(n1, n2, pooledPositives int, observed float64) (p float64, hit bool) {
+func (c *PairNullCache) Sample(n1, n2, pooledPositives int) (sorted []float64, hit bool) {
 	if c.worlds <= 0 {
-		return 1, false
+		return nil, false
 	}
 	if n1 > n2 {
 		n1, n2 = n2, n1
@@ -118,9 +114,31 @@ func (c *PairNullCache) PValue(n1, n2, pooledPositives int, observed float64) (p
 	} else {
 		c.misses.Add(1)
 	}
-	idx := sort.SearchFloat64s(e.sorted, observed) // first index with value >= observed
-	geq := len(e.sorted) - idx
-	return float64(1+geq) / float64(len(e.sorted)+1), hit
+	return e.sorted, hit
+}
+
+// PValue returns the add-one Monte-Carlo p-value of an observed statistic
+// against the key's null sample (see Sample and NullTailP); hit is Sample's.
+// A cache with no worlds answers p = 1.
+//
+//lint:hotpath
+func (c *PairNullCache) PValue(n1, n2, pooledPositives int, observed float64) (p float64, hit bool) {
+	sorted, hit := c.Sample(n1, n2, pooledPositives)
+	return NullTailP(sorted, observed), hit
+}
+
+// NullTailP is the add-one Monte-Carlo p-value of an observed statistic
+// against an ascending null sample of m worlds,
+//
+//	p = (1 + #{tau_null >= observed}) / (m + 1)
+//
+// — the same estimator as MonteCarloP, with the count answered by binary
+// search. An empty sample answers 1.
+//
+//lint:hotpath
+func NullTailP(sorted []float64, observed float64) float64 {
+	idx := sort.SearchFloat64s(sorted, observed) // first index with value >= observed
+	return float64(1+len(sorted)-idx) / float64(len(sorted)+1)
 }
 
 // lookupOrInsert finds the entry for key, inserting an empty one (and
@@ -171,10 +189,9 @@ func (c *PairNullCache) simulate(key pairNullKey) []float64 {
 // world per element of dst, drawn in a single batched pass and sorted
 // ascending. It is the allocation-free core of PairNullCache.simulate: a
 // cache constructed with this seed and worlds == len(dst) holds exactly this
-// sample for the key, so pre-warm passes can fill reusable buffers and p-value
-// consumers stay bit-identical whether the entry was simulated inline,
-// pre-warmed, or re-simulated after eviction. The key is normalized
-// (n1 <= n2) exactly as the cache normalizes it.
+// sample for the key, so p-value consumers stay bit-identical whether an
+// entry was simulated for the first time or re-simulated after eviction. The
+// key is normalized (n1 <= n2) exactly as the cache normalizes it.
 func FillPairNull(dst []float64, seed uint64, n1, n2, pooledPositives int) {
 	if len(dst) == 0 {
 		return
@@ -252,140 +269,12 @@ func fillPairNullTabled(dst []float64, rng *RNG, n1, n2 int, pooledRate float64)
 	}
 }
 
-// Prewarm materializes the entry for (n1, n2, pooledPositives) without
-// recording a hit or a miss, returning true when this call simulated a fresh
-// entry and false when the entry already existed. The pre-warm pass runs
-// before the pair sweep, so sweep-side hit/miss counters keep describing
-// sweep traffic; entries created here are byte-identical to entries the sweep
-// would have created (simulation streams depend only on seed and key).
-func (c *PairNullCache) Prewarm(n1, n2, pooledPositives int) (filled bool) {
-	if c.worlds <= 0 {
-		return false
-	}
-	if n1 > n2 {
-		n1, n2 = n2, n1
-	}
-	key := pairNullKey{n1: n1, n2: n2, pooledPositives: pooledPositives}
-	e, hit := c.lookupOrInsert(key)
-	e.once.Do(func() { e.sorted = c.simulate(key) })
-	e.lastUsed.Store(c.tick.Add(1))
-	return !hit
-}
-
 // Capacity returns the maximum number of entries the cache retains before
 // evicting (the configured bound rounded up to a multiple of the shard
-// count). Pre-warm passes stop filling at this bound: past it, fills would
-// only evict each other.
+// count). The audit engine bounds each sweep worker's private memo of
+// samples by it.
 func (c *PairNullCache) Capacity() int {
 	return c.perShard * nullCacheShards
-}
-
-// FrozenNullCache is a read-only flat snapshot of a PairNullCache: every
-// resident entry's key and sorted null sample, laid out for binary search.
-// Lookups take no locks and touch no shared mutable state — no recency tick,
-// no hit/miss atomics — so a full worker fan-out reads it contention-free.
-// The audit engine freezes the cache after the pre-warm barrier (when every
-// signature the sweep can request is already resident) and serves sweep
-// lookups from the snapshot; keys absent from it (capacity cutoff, or keys
-// born after the freeze under delta updates) fall back to the live cache,
-// which answers bit-identically because entries are key-seeded.
-type FrozenNullCache struct {
-	keys    []pairNullKey // ascending by (n1, n2, pooledPositives)
-	samples [][]float64   // samples[i] is keys[i]'s ascending null sample
-}
-
-// Freeze snapshots the cache's current entries into a FrozenNullCache. The
-// caller must ensure no fill is in flight (the audit engine freezes after the
-// pre-warm phase's barrier); concurrent lookups on the live cache remain
-// safe during and after the freeze, and the live cache is unaffected — the
-// snapshot shares the immutable sorted samples, so later evictions cost
-// memory (the snapshot keeps its reference) but never correctness. A nil or
-// disabled cache freezes to nil, which every FrozenNullCache method treats
-// as an always-miss.
-func (c *PairNullCache) Freeze() *FrozenNullCache {
-	if c == nil || c.worlds <= 0 {
-		return nil
-	}
-	f := &FrozenNullCache{}
-	for i := range c.shards {
-		sh := &c.shards[i]
-		sh.mu.RLock()
-		for _, key := range sh.keys {
-			e := sh.entries[key]
-			// Entries are filled by their inserter immediately after insertion;
-			// the Do is a barrier-free safety net that also publishes e.sorted
-			// to this goroutine.
-			e.once.Do(func() { e.sorted = c.simulate(key) })
-			f.keys = append(f.keys, key)
-			f.samples = append(f.samples, e.sorted)
-		}
-		sh.mu.RUnlock()
-	}
-	sort.Sort(frozenByKey{f})
-	return f
-}
-
-// frozenByKey sorts the snapshot's parallel slices by normalized key so
-// lookups can binary-search.
-type frozenByKey struct{ f *FrozenNullCache }
-
-func (s frozenByKey) Len() int { return len(s.f.keys) }
-func (s frozenByKey) Less(i, j int) bool {
-	a, b := s.f.keys[i], s.f.keys[j]
-	if a.n1 != b.n1 {
-		return a.n1 < b.n1
-	}
-	if a.n2 != b.n2 {
-		return a.n2 < b.n2
-	}
-	return a.pooledPositives < b.pooledPositives
-}
-func (s frozenByKey) Swap(i, j int) {
-	s.f.keys[i], s.f.keys[j] = s.f.keys[j], s.f.keys[i]
-	s.f.samples[i], s.f.samples[j] = s.f.samples[j], s.f.samples[i]
-}
-
-// Len returns the number of frozen entries.
-func (f *FrozenNullCache) Len() int {
-	if f == nil {
-		return 0
-	}
-	return len(f.keys)
-}
-
-// PValue answers the same add-one Monte-Carlo estimate PairNullCache.PValue
-// computes for a resident key — the identical sorted sample through the
-// identical arithmetic, so the two paths cannot drift — and ok=false when the
-// key is not in the snapshot (the caller falls back to the live cache). It
-// performs no writes of any kind: safe for any number of concurrent readers,
-// zero allocations, zero atomics.
-//
-//lint:hotpath
-func (f *FrozenNullCache) PValue(n1, n2, pooledPositives int, observed float64) (p float64, ok bool) {
-	if f == nil {
-		return 0, false
-	}
-	if n1 > n2 {
-		n1, n2 = n2, n1
-	}
-	key := pairNullKey{n1: n1, n2: n2, pooledPositives: pooledPositives}
-	lo, hi := 0, len(f.keys)
-	for lo < hi {
-		mid := int(uint(lo+hi) >> 1)
-		k := f.keys[mid]
-		if k.n1 < key.n1 || (k.n1 == key.n1 && (k.n2 < key.n2 || (k.n2 == key.n2 && k.pooledPositives < key.pooledPositives))) {
-			lo = mid + 1
-		} else {
-			hi = mid
-		}
-	}
-	if lo >= len(f.keys) || f.keys[lo] != key {
-		return 0, false
-	}
-	sorted := f.samples[lo]
-	idx := sort.SearchFloat64s(sorted, observed) // first index with value >= observed
-	geq := len(sorted) - idx
-	return float64(1+geq) / float64(len(sorted)+1), true
 }
 
 // NullCacheReferenceP computes, with no cache at all, the p-value a

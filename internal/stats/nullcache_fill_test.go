@@ -35,8 +35,8 @@ func TestFillPairNullMatchesCacheEntry(t *testing.T) {
 }
 
 // TestFillPairNullZeroAlloc pins the batched fill path at zero allocations:
-// the whole point of the pre-warm buffer design is that steady-state fills
-// reuse caller memory.
+// a fill writes into caller memory, so the cache's one allocation per key is
+// the sample it retains.
 func TestFillPairNullZeroAlloc(t *testing.T) {
 	buf := make([]float64, 999)
 	if n := testing.AllocsPerRun(20, func() {
@@ -46,45 +46,61 @@ func TestFillPairNullZeroAlloc(t *testing.T) {
 	}
 }
 
-// TestPrewarmIsHitMissNeutral verifies Prewarm materializes entries without
-// touching the sweep-facing hit/miss counters, that subsequent PValue calls
-// on prewarmed keys are hits with unchanged values, and that Capacity
-// reflects the rounded-up entry bound.
-func TestPrewarmIsHitMissNeutral(t *testing.T) {
+// TestPairNullCacheSampleMatchesPValue verifies the sample lookup: the first
+// call for a key misses and a normalized duplicate hits the same immutable
+// sample, PValue is NullTailP over that sample, Capacity reflects the
+// rounded-up entry bound, and a zero-worlds cache answers no sample.
+func TestPairNullCacheSampleMatchesPValue(t *testing.T) {
 	const seed, worlds = 0xBEE5, 99
-	warm := NewPairNullCache(seed, worlds, 64)
-	cold := NewPairNullCache(seed, worlds, 64)
+	c := NewPairNullCache(seed, worlds, 64)
 
-	if !warm.Prewarm(80, 120, 40) {
-		t.Fatal("first Prewarm of a key should fill")
+	first, hit := c.Sample(80, 120, 40)
+	if hit || len(first) != worlds || !sort.Float64sAreSorted(first) {
+		t.Fatalf("first Sample: hit=%v len=%d sorted=%v, want a fresh sorted %d-world sample",
+			hit, len(first), sort.Float64sAreSorted(first), worlds)
 	}
-	if warm.Prewarm(120, 80, 40) {
-		t.Fatal("Prewarm of a normalized-duplicate key should not refill")
+	again, hit := c.Sample(120, 80, 40)
+	if !hit || &again[0] != &first[0] {
+		t.Fatal("Sample of a normalized-duplicate key should hit the same sample")
 	}
-	if h, m, e := warm.Stats(); h != 0 || m != 0 || e != 0 {
-		t.Fatalf("Prewarm moved stats: hits=%d misses=%d evictions=%d", h, m, e)
+	if h, m, e := c.Stats(); h != 1 || m != 1 || e != 0 {
+		t.Fatalf("stats = (%d hits, %d misses, %d evictions), want (1, 1, 0)", h, m, e)
+	}
+	for _, observed := range []float64{-1, 0, 1.25, first[worlds/2], first[worlds-1], 1e9} {
+		p, hit := c.PValue(80, 120, 40, observed)
+		if !hit || p != NullTailP(first, observed) {
+			t.Fatalf("obs %v: PValue = (%v, %v), want a hit with NullTailP %v", observed, p, hit, NullTailP(first, observed))
+		}
+		if ref := NullCacheReferenceP(seed, worlds, 80, 120, 40, observed); p != ref {
+			t.Fatalf("obs %v: PValue %v, reference %v", observed, p, ref)
+		}
 	}
 
-	pw, hit := warm.PValue(80, 120, 40, 1.25)
-	if !hit {
-		t.Fatal("PValue after Prewarm should hit")
-	}
-	pc, hit := cold.PValue(80, 120, 40, 1.25)
-	if hit {
-		t.Fatal("cold PValue should miss")
-	}
-	if pw != pc {
-		t.Fatalf("prewarmed p=%v differs from cold p=%v", pw, pc)
-	}
-
-	if got := warm.Capacity(); got != 64 {
+	if got := c.Capacity(); got != 64 {
 		t.Fatalf("Capacity()=%d, want 64", got)
 	}
 	small := NewPairNullCache(seed, worlds, 3)
 	if got := small.Capacity(); got != nullCacheShards {
 		t.Fatalf("small cache Capacity()=%d, want %d", got, nullCacheShards)
 	}
-	if zero := NewPairNullCache(seed, 0, 8); zero.Prewarm(10, 10, 5) {
-		t.Fatal("zero-worlds cache must not claim to fill")
+	if s, hit := NewPairNullCache(seed, 0, 8).Sample(10, 10, 5); s != nil || hit {
+		t.Fatalf("zero-worlds cache answered (%v, %v), want (nil, false)", s, hit)
+	}
+	if p := NullTailP(nil, 3); p != 1 {
+		t.Fatalf("NullTailP of an empty sample = %v, want 1", p)
+	}
+}
+
+// TestPairNullCacheSampleZeroAlloc pins the hit path of the sample lookup —
+// read lock, map probe, atomics, binary search — at zero allocations.
+func TestPairNullCacheSampleZeroAlloc(t *testing.T) {
+	c := NewPairNullCache(5, 199, 64)
+	c.Sample(50, 60, 20)
+	allocs := testing.AllocsPerRun(100, func() {
+		s, _ := c.Sample(50, 60, 20)
+		NullTailP(s, 2.5)
+	})
+	if allocs != 0 {
+		t.Fatalf("Sample hit path allocates %.1f per call", allocs)
 	}
 }

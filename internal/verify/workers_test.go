@@ -29,8 +29,9 @@ func pairBytes(t *testing.T, res *core.Result) []byte {
 // work-stealing sweep, p-value collection, the BH/FDR sort) merges
 // deterministically, so nothing may move: not a pair, not a bit of a
 // p-value, regardless of how rows were stolen between workers. Run under
-// -race this doubles as the fan-out safety test for the frozen-cache and
-// sharded-counter hot paths.
+// -race this doubles as the fan-out safety test for the on-demand null
+// fills (per-worker memos over one shared cache) and the sharded-counter hot
+// paths.
 func TestAuditDeterminismAcrossWorkers(t *testing.T) {
 	scen := NewScenario(stats.NewRNG(42), DefaultScenarioConfig())
 
